@@ -1,13 +1,18 @@
 //! Index-construction and snapshot-serving baselines.
 //!
 //! For every venue in the set this bench builds the VIP-tree serially and
-//! with 2 and 4 workers, saves an `ifls-index/v1` snapshot, loads it back,
-//! and times each step. Two invariants are *asserted*, not just reported —
-//! a violation exits non-zero, which the CI build-smoke job relies on:
+//! with 2 and 4 workers, saves a snapshot, loads it back, builds the
+//! default-budget warm tier with 1 and 2 workers, and times each step.
+//! Four invariants are *asserted*, not just reported — a violation exits
+//! non-zero, which the CI build-smoke job relies on:
 //!
 //! 1. the serial, 2-thread and 4-thread builds produce bit-identical
-//!    indexes (same `index_checksum`), and
-//! 2. the tree loaded from the snapshot is bit-identical to the built one.
+//!    indexes (same `index_checksum`),
+//! 2. the tree loaded from the snapshot is bit-identical to the built one,
+//! 3. the 1- and 2-thread warm tiers are bit-identical (same
+//!    `WarmTier::checksum`), and
+//! 4. the warm tier loaded back from a warm snapshot is bit-identical to
+//!    the built one.
 //!
 //! The venue set is the paper's four named venues plus one parametric
 //! grid large enough for the parallel fan-out to matter; `--quick` keeps
@@ -18,10 +23,10 @@
 use std::time::Instant;
 
 use ifls_venues::{GridVenueSpec, NamedVenue};
-use ifls_viptree::{VipTree, VipTreeConfig};
+use ifls_viptree::{VipTree, VipTreeConfig, WarmTier, DEFAULT_WARM_BUDGET_BYTES};
 
 /// Bumped whenever a field is added, renamed, or re-interpreted.
-const SCHEMA: &str = "ifls-bench-build/v1";
+const SCHEMA: &str = "ifls-bench-build/v2";
 
 /// Thread counts measured besides the serial baseline.
 const THREADS: [usize; 2] = [2, 4];
@@ -37,6 +42,11 @@ struct RowOut {
     save_ns: u64,
     load_ns: u64,
     index_checksum: u64,
+    /// Warm-tier build times at 1 and 2 workers.
+    warm_build_ns: [u64; 2],
+    warm_targets: usize,
+    warm_bytes: usize,
+    warm_checksum: u64,
 }
 
 impl RowOut {
@@ -65,7 +75,8 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, u64) {
 
 fn bench_venue(venue: &ifls_indoor::Venue, reps: usize, dir: &std::path::Path) -> RowOut {
     let config = VipTreeConfig::default();
-    let (serial, serial_build_ns) = best_of(reps, || VipTree::build_with_threads(venue, config, 1));
+    let (mut serial, serial_build_ns) =
+        best_of(reps, || VipTree::build_with_threads(venue, config, 1));
     let checksum = serial.index_checksum();
 
     let mut parallel_build_ns = [0u64; THREADS.len()];
@@ -94,6 +105,36 @@ fn bench_venue(venue: &ifls_indoor::Venue, reps: usize, dir: &std::path::Path) -
         venue.name()
     );
 
+    let (tier, warm_1t_ns) = best_of(reps, || {
+        serial.build_warm_tier(DEFAULT_WARM_BUDGET_BYTES, 1)
+    });
+    let (tier_2t, warm_2t_ns) = best_of(reps, || {
+        serial.build_warm_tier(DEFAULT_WARM_BUDGET_BYTES, 2)
+    });
+    assert_eq!(
+        tier_2t.checksum(),
+        tier.checksum(),
+        "FAIL: `{}` warm tier built at 2 threads diverges from the 1-thread one",
+        venue.name()
+    );
+    let (warm_targets, warm_bytes, warm_checksum) =
+        (tier.num_targets(), tier.approx_bytes(), tier.checksum());
+    serial.set_warm_tier(Some(tier));
+    let warm_path = dir.join(format!(
+        "{}-warm.idx",
+        venue.name().replace(['/', ' '], "_")
+    ));
+    serial
+        .save_snapshot(&warm_path)
+        .expect("warm snapshot save");
+    let reloaded = VipTree::load_snapshot(venue, &warm_path).expect("warm snapshot load");
+    assert_eq!(
+        reloaded.warm_tier().map(WarmTier::checksum),
+        Some(warm_checksum),
+        "FAIL: `{}` warm tier loaded from snapshot diverges from the built one",
+        venue.name()
+    );
+
     RowOut {
         venue: venue.name().to_string(),
         partitions: venue.num_partitions(),
@@ -104,6 +145,10 @@ fn bench_venue(venue: &ifls_indoor::Venue, reps: usize, dir: &std::path::Path) -
         save_ns,
         load_ns,
         index_checksum: checksum,
+        warm_build_ns: [warm_1t_ns, warm_2t_ns],
+        warm_targets,
+        warm_bytes,
+        warm_checksum,
     }
 }
 
@@ -122,7 +167,10 @@ fn write_json(path: &str, quick: bool, rows: &[RowOut]) -> std::io::Result<()> {
              \"serial_build_ns\": {}, \"build_ns_2t\": {}, \"build_ns_4t\": {}, \
              \"speedup_4t\": {:.3}, \"snapshot_bytes\": {}, \"save_ns\": {}, \
              \"load_ns\": {}, \"load_speedup_vs_serial_build\": {:.3}, \
-             \"index_checksum\": \"{:016x}\", \"checksums_identical\": true}}{}",
+             \"index_checksum\": \"{:016x}\", \"checksums_identical\": true, \
+             \"warm_build_ns_1t\": {}, \"warm_build_ns_2t\": {}, \"warm_targets\": {}, \
+             \"warm_bytes\": {}, \"warm_checksum\": \"{:016x}\", \
+             \"warm_checksums_identical\": true}}{}",
             r.venue,
             r.partitions,
             r.doors,
@@ -135,6 +183,11 @@ fn write_json(path: &str, quick: bool, rows: &[RowOut]) -> std::io::Result<()> {
             r.load_ns,
             r.load_speedup(),
             r.index_checksum,
+            r.warm_build_ns[0],
+            r.warm_build_ns[1],
+            r.warm_targets,
+            r.warm_bytes,
+            r.warm_checksum,
             comma,
         );
     }
@@ -177,7 +230,8 @@ fn main() {
         let row = bench_venue(venue, reps, &dir);
         println!(
             "{:<12} serial {:>9.3} ms  2t {:>9.3} ms  4t {:>9.3} ms ({:>4.2}x)  \
-             save {:>8.3} ms  load {:>8.3} ms ({:>6.1}x vs rebuild)  {} KiB",
+             save {:>8.3} ms  load {:>8.3} ms ({:>6.1}x vs rebuild)  {} KiB  \
+             warm 1t {:>9.3} ms  2t {:>9.3} ms",
             row.venue,
             row.serial_build_ns as f64 / 1e6,
             row.parallel_build_ns[0] as f64 / 1e6,
@@ -187,6 +241,8 @@ fn main() {
             row.load_ns as f64 / 1e6,
             row.load_speedup(),
             row.snapshot_bytes / 1024,
+            row.warm_build_ns[0] as f64 / 1e6,
+            row.warm_build_ns[1] as f64 / 1e6,
         );
         rows.push(row);
     }

@@ -44,6 +44,10 @@ pub(crate) fn nearest_facility_dists(
 }
 
 /// Folds `min(current, iDist(c, facility))` into `acc` for every client.
+///
+/// Door vectors come warm-first ([`VipTree::door_dists_warm_first`]), so on a
+/// tree carrying a warm tier the exact evaluators cost gathers, not
+/// kernel runs — with identical bits.
 pub(crate) fn min_with_partition_dists(
     tree: &VipTree<'_>,
     clients: &[IndoorPoint],
@@ -58,7 +62,7 @@ pub(crate) fn min_with_partition_dists(
             continue;
         }
         let dists = shared[c.partition.index()]
-            .get_or_insert_with(|| tree.door_dists_to_partition(c.partition, facility));
+            .get_or_insert_with(|| tree.door_dists_warm_first(c.partition, facility));
         let d = tree.dist_point_to_partition_via(c, dists);
         if d < acc[i] {
             acc[i] = d;

@@ -7,9 +7,11 @@
 //! the cache on or off, serially, through a persistent serving-shaped
 //! cache, and in the parallel engine at 1/2/4/8 threads.
 
-use ifls_core::maxsum::EfficientMaxSum;
-use ifls_core::mindist::EfficientMinDist;
-use ifls_core::{BatchRunner, EfficientConfig, EfficientIfls, IflsQuery, ParallelSolver};
+use ifls_core::maxsum::{evaluate_wins, EfficientMaxSum};
+use ifls_core::mindist::{evaluate_total, EfficientMinDist};
+use ifls_core::{
+    evaluate_objective, BatchRunner, EfficientConfig, EfficientIfls, IflsQuery, ParallelSolver,
+};
 use ifls_indoor::{IndoorPoint, PartitionId, Venue};
 use ifls_rng::StdRng;
 use ifls_venues::RandomVenueSpec;
@@ -297,6 +299,55 @@ fn with_warm_tier(venue: &Venue) -> VipTree<'_> {
     let tier = tree.build_warm_tier(DEFAULT_WARM_BUDGET_BYTES, 2);
     tree.set_warm_tier(Some(tier));
     tree
+}
+
+/// The exact evaluators read door vectors warm-first: on a tree carrying a
+/// full or a truncated warm tier (whose uncovered targets fall back to the
+/// kernel) they return exactly the cold tree's results, f64 bits included,
+/// for the status quo and for every partition as the candidate.
+#[test]
+fn exact_evaluators_are_bit_identical_on_warm_and_cold_trees() {
+    let mut rng = StdRng::seed_from_u64(0xcac4_e007);
+    for case_no in 0..6 {
+        let case = random_case(&mut rng);
+        let venue = &case.venue;
+        let cold = VipTree::build(venue, VipTreeConfig::default());
+        let parts = venue.num_partitions();
+        let half = parts * 4 + parts.div_ceil(2) * (venue.num_doors() * 8 + 4);
+        for budget in [DEFAULT_WARM_BUDGET_BYTES, half] {
+            let label = format!("case {case_no} budget {budget}");
+            let mut warm = VipTree::build(venue, VipTreeConfig::default());
+            let tier = warm.build_warm_tier(budget, 2);
+            if budget == half {
+                assert!(
+                    tier.num_targets() > 0 && tier.num_targets() < parts,
+                    "{label}"
+                );
+            }
+            warm.set_warm_tier(Some(tier));
+            let (c, e) = (&case.clients, &case.existing);
+            let candidates = std::iter::once(None).chain(venue.partition_ids().map(Some));
+            for candidate in candidates {
+                assert_eq!(
+                    evaluate_objective(&warm, c, e, candidate).to_bits(),
+                    evaluate_objective(&cold, c, e, candidate).to_bits(),
+                    "{label}: objective for {candidate:?}"
+                );
+                assert_eq!(
+                    evaluate_total(&warm, c, e, candidate).to_bits(),
+                    evaluate_total(&cold, c, e, candidate).to_bits(),
+                    "{label}: total for {candidate:?}"
+                );
+                if let Some(n) = candidate {
+                    assert_eq!(
+                        evaluate_wins(&warm, c, e, n),
+                        evaluate_wins(&cold, c, e, n),
+                        "{label}: wins for {n}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Every admission mode (adaptive, always-on, always-off) crossed with

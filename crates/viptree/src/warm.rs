@@ -22,13 +22,16 @@
 //! most expensive cache miss, so the whole matrix is precomputed
 //! all-or-nothing from whatever budget the door columns leave over.
 //!
-//! Every cell is produced by the same kernel the live miss path calls
-//! ([`VipTree::door_dist_from`] / [`VipTree::min_dist_partition_to_node`]),
-//! so a warm hit is bit-identical to a recomputation by construction.
-//! Fills are pure and written to disjoint slices, making the threaded
-//! build deterministic at any worker count.
+//! Both matrices are filled by one door-row sweep (see
+//! [`VipTree::build_warm_tier`]): each source door's `door_to_door` row is
+//! computed once and every cell starting at that door is a min over it —
+//! the same values, first argument and all, that the live miss path's
+//! kernels ([`VipTree::door_dist_from`] /
+//! [`VipTree::min_dist_partition_to_node`]) fold, so a warm hit is
+//! bit-identical to a recomputation. Rows are pure and written to disjoint
+//! slices, making the threaded build deterministic at any worker count.
 
-use ifls_indoor::{DoorId, PartitionId, Venue};
+use ifls_indoor::{DoorId, Fnv1a, PartitionId, Venue};
 
 use crate::tree::VipTree;
 use crate::NodeId;
@@ -46,7 +49,8 @@ pub const DEFAULT_WARM_BUDGET_BYTES: usize = 32 << 20;
 /// the optional warm section of `ifls-index/v2` snapshots.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WarmTier {
-    /// Per-partition column index, or [`NO_COLUMN`].
+    /// Per-partition column index, or [`NO_COLUMN`]; empty when no
+    /// partition is covered.
     cols: Vec<u32>,
     /// Covered target partitions in column order.
     targets: Vec<PartitionId>,
@@ -66,7 +70,7 @@ impl WarmTier {
     /// Whether target partition `q`'s column is present.
     #[inline]
     pub fn covers(&self, q: PartitionId) -> bool {
-        self.cols[q.index()] != NO_COLUMN
+        self.cols.get(q.index()).is_some_and(|&c| c != NO_COLUMN)
     }
 
     /// Gathers the door-distance vector for `(p, q)` into `out` —
@@ -141,6 +145,22 @@ impl WarmTier {
             + self.node_mins.len() * std::mem::size_of::<f64>()
     }
 
+    /// FNV-1a over the tier's shape and cell bits (targets, door cells,
+    /// node minima): equal for bit-identical tiers, so a build can be
+    /// compared across thread counts and snapshot round trips.
+    pub fn checksum(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write_u64(self.targets.len() as u64);
+        h.write_u64(self.node_mins.len() as u64);
+        for q in &self.targets {
+            h.write_u32(q.raw());
+        }
+        for &c in self.dists.iter().chain(&self.node_mins) {
+            h.write_f64(c);
+        }
+        h.finish()
+    }
+
     /// Raw door cells in column-major order (snapshot encoding).
     #[inline]
     pub(crate) fn cells(&self) -> &[f64] {
@@ -169,7 +189,13 @@ impl WarmTier {
         if !node_mins.is_empty() && node_mins.len() != num_partitions * num_nodes {
             return Err("warm tier node-min count does not match partitions × nodes");
         }
-        let mut cols = vec![NO_COLUMN; num_partitions];
+        // A tier without columns carries no column map either, so an empty
+        // tier costs nothing against its budget.
+        let mut cols = if targets.is_empty() {
+            Vec::new()
+        } else {
+            vec![NO_COLUMN; num_partitions]
+        };
         for (j, &q) in targets.iter().enumerate() {
             let slot = cols
                 .get_mut(q.index())
@@ -202,17 +228,39 @@ impl VipTree<'_> {
         self.warm = warm;
     }
 
+    /// [`VipTree::door_dists_to_partition`]`(p, q)`, warm first: gathered
+    /// from the warm tier when it covers `q`, computed by the kernel
+    /// otherwise. Bit-identical either way.
+    pub fn door_dists_warm_first(&self, p: PartitionId, q: PartitionId) -> Vec<f64> {
+        match &self.warm {
+            Some(warm) if warm.covers(q) => {
+                let mut out = Vec::new();
+                warm.gather_into(self.venue(), p, q, &mut out);
+                out
+            }
+            _ => self.door_dists_to_partition(p, q),
+        }
+    }
+
     /// Precomputes a warm tier over this tree with up to `threads` fill
     /// workers (`0` = all available cores).
     ///
     /// Door-vector targets are every partition ranked by door fan-in
-    /// (descending, ties by ascending id), truncated to `budget_bytes`.
-    /// The `partition × node` minima matrix is then added all-or-nothing
-    /// if it fits in whatever budget the columns left over. The result is
-    /// bit-identical at any thread count: work order is fixed up front and
-    /// each worker fills disjoint slices with the pure
-    /// [`VipTree::door_dist_from`] /
-    /// [`VipTree::min_dist_partition_to_node`] kernels.
+    /// (descending, ties by ascending id), truncated to `budget_bytes`
+    /// (each column is charged its cells plus its target-list entry; the
+    /// column map once, when any column is kept). The `partition × node`
+    /// minima matrix is then added all-or-nothing if it fits in whatever
+    /// budget the columns left over.
+    ///
+    /// The fill is a door-row sweep: each source door `d` computes its row
+    /// `door_to_door(d, ·)` once — only at the doors some cell reads — and
+    /// every cell that starts at `d` is a min over that row. A cell is
+    /// therefore the min over exactly the `door_to_door(d, ·)` values the
+    /// per-cell kernels ([`VipTree::door_dist_from`] /
+    /// [`VipTree::min_dist_partition_to_node`]) fold, with `d` always the
+    /// first argument; an f64 min over non-NaN values is exact and
+    /// order-free, so the tier is bit-identical to those kernels and to
+    /// itself at any thread count.
     pub fn build_warm_tier(&self, budget_bytes: usize, threads: usize) -> WarmTier {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -226,44 +274,86 @@ impl VipTree<'_> {
 
         let mut targets: Vec<PartitionId> = venue.partition_ids().collect();
         targets.sort_by_key(|&q| (std::cmp::Reverse(venue.partition(q).doors().len()), q.raw()));
-        // Budget: cells dominate; the fixed column map is charged once.
-        let per_target = num_doors * std::mem::size_of::<f64>();
+        let per_target = num_doors * std::mem::size_of::<f64>() + std::mem::size_of::<u32>();
         let fixed = num_parts * std::mem::size_of::<u32>();
-        let max_targets = budget_bytes.saturating_sub(fixed) / per_target.max(1);
-        targets.truncate(max_targets);
-
-        let mut dists = vec![0.0f64; targets.len() * num_doors];
-        let fill = |q: PartitionId, column: &mut [f64]| {
-            for (i, cell) in column.iter_mut().enumerate() {
-                *cell = self.door_dist_from(DoorId::new(i as u32), q);
-            }
-        };
-        run_rows(
-            threads,
-            &targets,
-            dists.chunks_mut(num_doors),
-            |&q, column| fill(q, column),
-        );
-
+        targets.truncate(budget_bytes.saturating_sub(fixed) / per_target);
         // Node minima ride in whatever budget the columns left over — the
         // matrix is all-or-nothing so `has_node_mins` implies full
         // coverage and the probe never needs a per-pair presence check.
-        let spent = fixed + dists.len() * std::mem::size_of::<f64>();
+        let spent = if targets.is_empty() {
+            0
+        } else {
+            fixed + targets.len() * per_target
+        };
         let node_min_bytes = num_parts * num_nodes * std::mem::size_of::<f64>();
+        let with_node_mins = num_nodes > 0 && node_min_bytes <= budget_bytes.saturating_sub(spent);
+        let row_nodes = if with_node_mins { num_nodes } else { 0 };
+
+        // The doors any cell reads: those of the covered targets, plus
+        // every node's access doors when the minima are built.
+        let mut read = vec![false; num_doors];
+        for &q in &targets {
+            for &dt in venue.partition(q).doors() {
+                read[dt.index()] = true;
+            }
+        }
+        if with_node_mins {
+            for n in self.node_ids() {
+                for a in self.access_doors(n) {
+                    read[a.index()] = true;
+                }
+            }
+        }
+        let read: Vec<DoorId> = venue.door_ids().filter(|d| read[d.index()]).collect();
+
+        // Door-major sweep output: per source door, one cell per target
+        // column followed by its per-node minima `m[d][n]`.
+        let width = targets.len() + row_nodes;
+        let mut by_door = vec![0.0f64; num_doors * width];
+        let sweep_door = |d: DoorId, row: &mut [f64], out: &mut [f64]| {
+            for &dt in &read {
+                row[dt.index()] = self.door_to_door(d, dt);
+            }
+            let (cells, mins) = out.split_at_mut(targets.len());
+            let door = venue.door(d);
+            for (cell, &q) in cells.iter_mut().zip(&targets) {
+                *cell = if door.partitions().any(|side| side == q) {
+                    0.0
+                } else {
+                    min_over(row, venue.partition(q).doors().iter().copied())
+                };
+            }
+            for (cell, n) in mins.iter_mut().zip(self.node_ids()) {
+                *cell = min_over(row, self.access_doors(n));
+            }
+        };
+        if width > 0 {
+            sweep(threads, num_doors, width, &mut by_door, sweep_door);
+        }
+
+        let mut dists = vec![0.0f64; targets.len() * num_doors];
+        for (col, column) in dists.chunks_mut(num_doors.max(1)).enumerate() {
+            for (d, cell) in column.iter_mut().enumerate() {
+                *cell = by_door[d * width + col];
+            }
+        }
         let mut node_mins = Vec::new();
-        if num_nodes > 0 && node_min_bytes <= budget_bytes.saturating_sub(spent) {
+        if with_node_mins {
             node_mins = vec![0.0f64; num_parts * num_nodes];
-            let parts: Vec<PartitionId> = venue.partition_ids().collect();
-            run_rows(
-                threads,
-                &parts,
-                node_mins.chunks_mut(num_nodes),
-                |&p, row| {
-                    for (i, cell) in row.iter_mut().enumerate() {
-                        *cell = self.min_dist_partition_to_node(p, NodeId::new(i as u32));
-                    }
-                },
-            );
+            for (p, row) in venue.partition_ids().zip(node_mins.chunks_mut(num_nodes)) {
+                for (n, cell) in self.node_ids().zip(row.iter_mut()) {
+                    *cell = if self.contains_partition(n, p) {
+                        0.0
+                    } else {
+                        venue
+                            .partition(p)
+                            .doors()
+                            .iter()
+                            .map(|ds| by_door[ds.index() * width + targets.len() + n.index()])
+                            .fold(f64::INFINITY, f64::min)
+                    };
+                }
+            }
         }
 
         WarmTier::from_parts(num_parts, num_doors, num_nodes, targets, dists, node_mins)
@@ -271,38 +361,50 @@ impl VipTree<'_> {
     }
 }
 
-/// Runs `fill(item, row)` over parallel (item, row) pairs with up to
-/// `threads` workers. Rows are claimed from an atomic cursor; each is
-/// written exactly once from pure inputs, so scheduling cannot affect the
-/// bytes produced.
-fn run_rows<'a, T: Sync, F>(
-    threads: usize,
-    items: &[T],
-    rows: std::slice::ChunksMut<'a, f64>,
-    fill: F,
-) where
-    F: Fn(&T, &mut [f64]) + Sync,
+/// `min(row[d])` over `doors` (`+∞` when empty).
+#[inline]
+fn min_over(row: &[f64], doors: impl Iterator<Item = DoorId>) -> f64 {
+    doors.map(|d| row[d.index()]).fold(f64::INFINITY, f64::min)
+}
+
+/// Source doors per work unit of the threaded sweep.
+const SWEEP_BLOCK: usize = 8;
+
+/// Runs `sweep_door(d, row, out)` for every door `d`, where `out` is `d`'s
+/// `width`-cell slice of `by_door` and `row` is a per-worker scratch row of
+/// `num_doors` cells. Blocks of doors are claimed from a shared iterator by
+/// up to `threads` workers; each `out` is written exactly once from pure
+/// inputs, so scheduling cannot affect the bytes produced.
+fn sweep<F>(threads: usize, num_doors: usize, width: usize, by_door: &mut [f64], sweep_door: F)
+where
+    F: Fn(DoorId, &mut [f64], &mut [f64]) + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
-        for (row, item) in rows.zip(items) {
-            fill(item, row);
+    let run_block = |block: usize, out: &mut [f64], row: &mut [f64]| {
+        for (k, out) in out.chunks_mut(width).enumerate() {
+            sweep_door(DoorId::from_index(block * SWEEP_BLOCK + k), row, out);
+        }
+    };
+    let blocks = by_door.chunks_mut(SWEEP_BLOCK * width).enumerate();
+    let workers = threads.min(num_doors.div_ceil(SWEEP_BLOCK));
+    if workers <= 1 {
+        let mut row = vec![0.0f64; num_doors];
+        for (block, out) in blocks {
+            run_block(block, out, &mut row);
         }
         return;
     }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let work: Vec<(&T, &mut [f64])> = items.iter().zip(rows).collect();
-    let work = std::sync::Mutex::new(work.into_iter().map(Some).collect::<Vec<_>>());
+    let blocks = std::sync::Mutex::new(blocks);
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(items.len()) {
-            scope.spawn(|| loop {
-                let Some((item, row)) = ({
-                    let j = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let mut w = work.lock().expect("row fill never panics");
-                    w.get_mut(j).and_then(Option::take)
-                }) else {
-                    return;
-                };
-                fill(item, row);
+        for _ in 0..workers {
+            scope.spawn(|| {
+                let mut row = vec![0.0f64; num_doors];
+                loop {
+                    let next = blocks.lock().expect("door sweep never panics").next();
+                    let Some((block, out)) = next else {
+                        return;
+                    };
+                    run_block(block, out, &mut row);
+                }
             });
         }
     });
@@ -407,6 +509,38 @@ mod tests {
         assert_eq!(empty.entries(), 0);
         assert!(!empty.has_node_mins());
         assert_eq!(empty.node_min_entries(), 0);
+    }
+
+    #[test]
+    fn tier_footprint_never_exceeds_its_budget() {
+        let venue = GridVenueSpec::new("t", 2, 30).build();
+        let tree = VipTree::build(&venue, VipTreeConfig::default());
+        let full = tree.build_warm_tier(DEFAULT_WARM_BUDGET_BYTES, 1);
+        let per_column = venue.num_doors() * 8 + 4;
+        let fixed = venue.num_partitions() * 4;
+        let mut budgets = vec![0, 1, fixed - 1, fixed, fixed + per_column - 1];
+        // Exact column boundaries (where a missing target-list charge
+        // overshoots) and every step up to the full tier.
+        budgets.extend((1..=venue.num_partitions()).map(|k| fixed + k * per_column));
+        budgets.extend((1..=venue.num_partitions()).map(|k| fixed + k * per_column - 1));
+        budgets.push(full.approx_bytes());
+        budgets.push(full.approx_bytes() - 1);
+        for budget in budgets {
+            let tier = tree.build_warm_tier(budget, 2);
+            assert!(
+                tier.approx_bytes() <= budget,
+                "budget {budget}: tier takes {} bytes",
+                tier.approx_bytes()
+            );
+            for q in venue.partition_ids() {
+                assert_eq!(
+                    tier.covers(q),
+                    tier.targets().contains(&q),
+                    "budget {budget}"
+                );
+            }
+        }
+        assert_eq!(tree.build_warm_tier(full.approx_bytes(), 1), full);
     }
 
     #[test]
